@@ -6,4 +6,4 @@ let () =
    @ Test_props.suites @ Test_sdx.suites @ Test_diagram.suites @ Test_cgen.suites
    @ Test_fault.suites @ Test_explore.suites @ Test_verify.suites
    @ Test_recovery.suites @ Test_sim_perf.suites @ Test_media.suites
-   @ Test_serve.suites @ Test_absint.suites)
+   @ Test_serve.suites @ Test_absint.suites @ Test_golden.suites)
