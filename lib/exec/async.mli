@@ -1,59 +1,32 @@
 (** Baseline executor: a {e time-triggered table without
-    synchronisation}.
+    synchronisation}, the classic alternative to SynDEx's synchronised
+    executive (a TTP/FlexRay-style static table).
 
-    The classic alternative to SynDEx's synchronised executive: every
-    operation, every transfer slot and every buffer read is fired at
-    its {e static schedule offset} within the period, with no run-time
-    synchronisation at all (a TTP/FlexRay-style static table).  Under
-    the WCET contract this is correct — data is always posted before
-    its bus slot departs and arrives before its planned read instant.
-    But when an execution overruns its WCET (faulty characterisation,
-    unmodelled interference), the fresh value misses its bus slot or
-    its read instant and the consumer silently uses the {e previous}
-    iteration's value, while the synchronised executive of {!Machine}
-    blocks and stays coherent.
+    It shares {!Core} with {!Machine} — configuration, duration
+    sampling, bus models, retransmission — and differs only in when
+    things happen and which value a read sees:
+    - every operation starts at its static schedule offset within the
+      period, or as soon as the previous one finishes when running
+      late;
+    - every transfer slot departs at its planned offset (or once its
+      medium frees up), in global planned-start order; a bus model's
+      frame is enqueued at that offset.  A payload not posted by
+      departure misses the slot and travels next period;
+    - every read samples its buffer at the planned read offset
+      ([cm_read], which {!Aaa.Schedule.insert_slack} may move later to
+      reserve a retransmission window), never blocking.
 
-    {!run} counts those {e freshness violations}; the comparison
-    against {!Machine} under injected overruns is the [baseline]
-    experiment of EXPERIMENTS.md. *)
-
-type config = {
-  iterations : int;
-  law : Timing_law.t;
-  comm_jitter_frac : float;
-  bcet_frac : float;
-  overrun_prob : float;  (** probability an execution exceeds its WCET *)
-  overrun_factor : float;  (** duration multiplier on overrun *)
-  seed : int;
-  condition : iteration:int -> var:string -> int;
-  injection : Injection.t;
-      (** structural faults — a fail-stopped producer posts nothing
-          (its bus slots depart with the old value), a transfer lost
-          on the wire or inside a medium outage never arrives; both
-          surface as freshness [violations] *)
-  recovery : Recovery.policy;
-      (** detection & retransmission only: the freshness watchdog dates
-          every violation and dropped transfers are retried within the
-          budget (retries push the medium's later slots back, so
-          recovery can cause overruns).  Reads stay at their planned
-          table offsets, so a retried payload — delivered after backoff
-          — typically lands {e after} this period's read: the transfer
-          counts as recovered in the ledger while the read remains a
-          dated violation.  The heartbeat supervisor / mode switch is
-          {!Machine}-only — a static table cannot re-dispatch online;
-          [failover] is ignored here. *)
-  bus_models : (string * Media.Bus.config) list;
-      (** shared-bus network models, keyed by medium name — same
-          contract as {!Machine.config}.  Each listed medium's slots
-          become frames enqueued at their planned table offsets,
-          arbitrating against the bus's background traffic; since reads
-          stay at their planned offsets, arbitration delay surfaces
-          directly as freshness [violations].  Default [\[\]]: fixed
-          planned durations, bit-for-bit as before. *)
-}
-
-val default_config : config
-(** Same defaults as {!Machine.default_config}. *)
+    Under the WCET contract this is correct.  When an execution
+    overruns, a transfer is lost or a bus arbitration runs late, the
+    consumer silently uses the {e previous} iteration's value where
+    {!Machine} blocks and stays coherent: {!run} counts these
+    {e freshness violations} (the [baseline] experiment of
+    EXPERIMENTS.md).  A fail-stopped producer posts nothing; a
+    retransmitted payload typically lands after this period's read, so
+    the transfer counts as recovered while the read stays a dated
+    violation.  The heartbeat supervisor and mode switch are
+    {!Machine}-only: a static table cannot re-dispatch online, so the
+    policy's [failover] table is ignored. *)
 
 type trace = {
   period : float;
@@ -66,21 +39,19 @@ type trace = {
           operator had fail-stopped *)
   overruns : int;  (** iterations whose work spilled past the release *)
   lost_transfers : int;
-      (** transfer instances the injection dropped on the wire and the
-          retry chain (if any) failed to save *)
+      (** transfer instances dropped on the wire (or by the bus) that
+          no retry saved *)
   retransmissions : int;  (** retry attempts spent by the recovery policy *)
-  recovered_transfers : int;
-      (** dropped transfers a retransmission saved *)
+  recovered_transfers : int;  (** dropped transfers a retransmission saved *)
   recovery_events : Recovery.event list;
       (** dated {!Recovery.Stale_detected} / retransmission events,
-          sorted under {!Recovery.compare_event} (the internal
-          freshness sweep enumerates in hash order) *)
+          sorted under {!Recovery.compare_event} *)
   bus_log : (string * Media.Bus.completion list) list;
       (** per modeled bus, every frame completion in chronological
           order, drained to the run horizon — empty without
           [bus_models] *)
 }
 
-val run : ?config:config -> Aaa.Codegen.t -> trace
-(** Executes the time-triggered baseline.  Never deadlocks (nothing
-    blocks). *)
+val run : ?config:Machine.config -> Aaa.Codegen.t -> trace
+(** Executes the time-triggered table.  Never deadlocks (nothing
+    blocks).  Raises [Invalid_argument] like {!Machine.run}. *)

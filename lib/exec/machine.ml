@@ -5,7 +5,7 @@ module Cg = Aaa.Codegen
 
 exception Deadlock of string
 
-type config = {
+type config = Core.config = {
   iterations : int;
   law : Timing_law.t;
   comm_jitter_frac : float;
@@ -20,21 +20,7 @@ type config = {
   bus_models : (string * Media.Bus.config) list;
 }
 
-let default_config =
-  {
-    iterations = 100;
-    law = Timing_law.Uniform;
-    comm_jitter_frac = 0.;
-    bcet_frac = 0.5;
-    durations = None;
-    overrun_prob = 0.;
-    overrun_factor = 1.5;
-    seed = 42;
-    condition = (fun ~iteration:_ ~var:_ -> 0);
-    injection = Injection.none;
-    recovery = Recovery.disabled;
-    bus_models = [];
-  }
+let default_config = Core.default_config
 
 type op_exec = {
   oe_iteration : int;
@@ -72,14 +58,6 @@ type trace = {
   continuation : trace option;
 }
 
-(* identity of one hop of a transfer within one iteration *)
-let slot_key (c : Sched.comm_slot) =
-  ( (fst c.Sched.cm_src :> int),
-    snd c.Sched.cm_src,
-    (fst c.Sched.cm_dst :> int),
-    snd c.Sched.cm_dst,
-    c.Sched.cm_hop )
-
 type operator_state = {
   os_id : Arch.operator_id;
   os_program : Cg.instr array;
@@ -96,23 +74,14 @@ type medium_state = {
 }
 
 let run_single ~(config : config) exe =
-  if config.iterations <= 0 then invalid_arg "Machine.run: non-positive iteration count";
+  let core = Core.create ~who:"Machine.run" config exe in
   let sched = exe.Cg.schedule in
   let alg = sched.Sched.algorithm in
   let arch = sched.Sched.architecture in
   let period = Alg.period alg in
-  let rng = Numerics.Rng.create config.seed in
-  let posted : (int * int * int * int * int, float array) Hashtbl.t = Hashtbl.create 64 in
-  let finished : (int * int * int * int * int, float array) Hashtbl.t = Hashtbl.create 64 in
-  let slot_table kind table key =
-    match Hashtbl.find_opt table key with
-    | Some arr -> arr
-    | None ->
-        let arr = Array.make config.iterations Float.nan in
-        Hashtbl.replace table key arr;
-        ignore kind;
-        arr
-  in
+  let posted : (Core.slot_key, float array) Hashtbl.t = Hashtbl.create 64 in
+  let finished : (Core.slot_key, float array) Hashtbl.t = Hashtbl.create 64 in
+  let slot_table table key = Core.row core table key Float.nan in
   let operators =
     List.map
       (fun (operator, body) ->
@@ -127,88 +96,24 @@ let run_single ~(config : config) exe =
   in
   let ops_log = ref [] in
   let comms_log = ref [] in
-  let inj = config.injection in
-  let have_inj = not (Injection.is_none inj) in
-  (* shared-bus models: one fresh Media.Bus.t per modeled medium per
-     run (each phase of a failover run gets its own, in its own frame) *)
-  let buses =
-    if config.bus_models = [] then [||]
-    else begin
-      let arr = Array.make (Arch.medium_count arch) None in
-      List.iter
-        (fun (bname, bcfg) ->
-          match Arch.find_medium arch bname with
-          | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "[MEDIA004] Machine.run: bus model %S names no medium of architecture %S"
-                   bname (Arch.name arch))
-          | Some mid ->
-              if Arch.medium_kind arch mid <> Arch.Bus then
-                invalid_arg
-                  (Printf.sprintf
-                     "[MEDIA004] Machine.run: medium %S is not a shared bus"
-                     bname);
-              arr.((mid :> int)) <- Some (Media.Bus.create bcfg))
-        config.bus_models;
-      arr
-    end
-  in
-  let have_bus = Array.length buses > 0 in
-  let bus_of mid = if have_bus then buses.(mid) else None in
-  let pol = config.recovery in
-  let retrans_on = have_inj && Recovery.retransmission_enabled pol in
+  let have_inj = not (Injection.is_none config.injection) in
+  let have_bus = Core.has_buses core in
   (* per hop instance: the payload carried is stale (lost somewhere
      upstream); the slot itself always fires, so injected faults never
      block the executive *)
-  let lost : (int * int * int * int * int, bool array) Hashtbl.t = Hashtbl.create 16 in
-  let lost_arr key =
-    match Hashtbl.find_opt lost key with
-    | Some a -> a
-    | None ->
-        let a = Array.make config.iterations false in
-        Hashtbl.replace lost key a;
-        a
+  let lost : (Core.slot_key, bool array) Hashtbl.t = Hashtbl.create 16 in
+  let lost_arr key = Core.row core lost key false in
+  (* marks a hop instance stale, counting the first loss along its chain *)
+  let lose key k =
+    let la = lost_arr key in
+    if not la.(k) then begin
+      la.(k) <- true;
+      Core.lose core
+    end
   in
-  let lost_transfers = ref 0 and stale_reads = ref 0 in
-  let retransmissions = ref 0 and recovered_transfers = ref 0 in
-  let events = ref [] in
-  (* retransmissions already spent, per medium and iteration *)
-  let retry_used : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
+  let stale_reads = ref 0 in
   let operator_dead os =
-    have_inj
-    && inj.Injection.operator_failed ~operator:(Arch.operator_name arch os.os_id)
-         ~time:os.os_time
-  in
-  let sample_exec_duration op operator =
-    (* the WCET is the planned slot length; the BCET comes from the
-       durations table when provided, else from [bcet_frac] *)
-    let wcet =
-      match List.find_opt (fun s -> s.Sched.cs_op = op) sched.Sched.comp with
-      | Some s -> s.Sched.cs_duration
-      | None -> 0.
-    in
-    let bcet =
-      let from_table =
-        Option.bind config.durations (fun table ->
-            Aaa.Durations.bcet table ~op:(Alg.op_name alg op)
-              ~operator:(Arch.operator_name arch operator))
-      in
-      match from_table with
-      | Some b -> Float.min b wcet
-      | None -> config.bcet_frac *. wcet
-    in
-    let nominal = Timing_law.sample config.law rng ~bcet ~wcet in
-    if config.overrun_prob > 0. && Numerics.Rng.float rng 1. < config.overrun_prob then
-      nominal *. config.overrun_factor
-    else nominal
-  in
-  let sample_comm_duration planned =
-    if config.comm_jitter_frac <= 0. then planned
-    else
-      let f = Float.min 1. config.comm_jitter_frac in
-      if planned <= 0. then planned
-      else Numerics.Rng.uniform rng ((1. -. f) *. planned) planned
+    Core.failed core ~operator:(Arch.operator_name arch os.os_id) ~time:os.os_time
   in
   (* one attempt to advance an operator; returns true on progress *)
   let step_operator os =
@@ -220,25 +125,12 @@ let run_single ~(config : config) exe =
           os.os_pc <- os.os_pc + 1;
           true
       | Cg.Exec op ->
-          let skipped =
-            match Alg.op_cond alg op with
-            | None -> false
-            | Some { Alg.var; value } -> config.condition ~iteration:os.os_iter ~var <> value
-          in
+          let skipped = Core.skipped core ~iteration:os.os_iter op in
           let failed = (not skipped) && operator_dead os in
           let start = os.os_time in
           let finish =
             if skipped || failed then start
-            else begin
-              let d = sample_exec_duration op os.os_id in
-              match
-                if have_inj then
-                  inj.Injection.overrun ~iteration:os.os_iter ~op:(Alg.op_name alg op)
-                else None
-              with
-              | Some factor -> start +. (d *. factor)
-              | None -> start +. d
-            end
+            else start +. Core.exec_duration core ~iteration:os.os_iter op
           in
           os.os_time <- finish;
           ops_log :=
@@ -255,36 +147,29 @@ let run_single ~(config : config) exe =
           os.os_pc <- os.os_pc + 1;
           true
       | Cg.Send c ->
-          let arr = slot_table `Posted posted (slot_key c) in
+          let arr = slot_table posted (Core.slot_key c) in
           arr.(os.os_iter) <- os.os_time;
           (* a dead producer posts instantly, but the value it posts is
              the previous iteration's (its outputs are frozen) *)
-          if operator_dead os then begin
-            let la = lost_arr (slot_key c) in
-            if not la.(os.os_iter) then begin
-              la.(os.os_iter) <- true;
-              incr lost_transfers
-            end
-          end;
+          if operator_dead os then lose (Core.slot_key c) os.os_iter;
           os.os_pc <- os.os_pc + 1;
           true
       | Cg.Recv c ->
-          let arr = slot_table `Finished finished (slot_key c) in
+          let arr = slot_table finished (Core.slot_key c) in
           let t = arr.(os.os_iter) in
           if Float.is_nan t then false
           else begin
             os.os_time <- Float.max os.os_time t;
-            if (have_inj || have_bus) && (lost_arr (slot_key c)).(os.os_iter) then begin
+            if (have_inj || have_bus) && (lost_arr (Core.slot_key c)).(os.os_iter) then begin
               incr stale_reads;
-              if pol.Recovery.freshness_watchdog then
-                events :=
-                  Recovery.Stale_detected
-                    {
-                      time = os.os_time;
-                      iteration = os.os_iter;
-                      op = Alg.op_name alg (fst c.Sched.cm_dst);
-                    }
-                  :: !events
+              if config.recovery.Recovery.freshness_watchdog then
+                Core.record core
+                  (Recovery.Stale_detected
+                     {
+                       time = os.os_time;
+                       iteration = os.os_iter;
+                       op = Alg.op_name alg (fst c.Sched.cm_dst);
+                     })
             end;
             os.os_pc <- os.os_pc + 1;
             true
@@ -302,147 +187,57 @@ let run_single ~(config : config) exe =
       let c = ms.ms_transfers.(ms.ms_index) in
       (* hop 0 waits for the producer's post; later hops wait for the
          previous hop's completion *)
+      let upstream = if c.Sched.cm_hop = 0 then Core.slot_key c else Core.prev_key c in
       let posted_arr =
-        if c.Sched.cm_hop = 0 then slot_table `Posted posted (slot_key c)
-        else
-          slot_table `Finished finished
-            (let a, b, cc, d, hop = slot_key c in
-             (a, b, cc, d, hop - 1))
+        if c.Sched.cm_hop = 0 then slot_table posted upstream else slot_table finished upstream
       in
       let t_posted = posted_arr.(ms.ms_iter) in
       if Float.is_nan t_posted then false
       else begin
-        let bus = bus_of (c.Sched.cm_medium :> int) in
+        let bus = Core.bus core c.Sched.cm_medium in
+        let release = Float.max ms.ms_time t_posted in
+        let duration = Core.comm_duration core c.Sched.cm_duration in
         (* with a bus model attached, the transfer becomes a frame
            arbitrating against the bus's other traffic; without one,
            the fixed-duration path below is bit-for-bit the original *)
         let start, finish0, bus_dropped =
           match bus with
-          | None ->
-              let start = Float.max ms.ms_time t_posted in
-              (start, start +. sample_comm_duration c.Sched.cm_duration, false)
+          | None -> (release, release +. duration, false)
           | Some b ->
-              let release = Float.max ms.ms_time t_posted in
               let node = (c.Sched.cm_from :> int) in
-              let duration = sample_comm_duration c.Sched.cm_duration in
               if Media.Bus.node_off b ~node ~time:release then
                 (* a bus-off interface posts nothing: the slot still
                    elapses (no bus occupancy) so the Recv unblocks *)
                 (release, release +. duration, true)
               else
                 let comp =
-                  Media.Bus.transmit b ~ident:(Media.Bus.slot_identifier c)
-                    ~node ~release ~duration
+                  Media.Bus.transmit b ~ident:(Media.Bus.slot_identifier c) ~node ~release
+                    ~duration
                 in
-                ( comp.Media.Bus.c_start,
-                  comp.Media.Bus.c_finish,
-                  comp.Media.Bus.c_dropped )
+                (comp.Media.Bus.c_start, comp.Media.Bus.c_finish, comp.Media.Bus.c_dropped)
         in
         let finish = ref finish0 in
-        if bus_dropped then begin
-          let la = lost_arr (slot_key c) in
-          if not la.(ms.ms_iter) then begin
-            la.(ms.ms_iter) <- true;
-            incr lost_transfers
-          end
-        end;
+        if bus_dropped then lose (Core.slot_key c) ms.ms_iter;
         if have_inj || have_bus then begin
-          let inherited =
-            let key =
-              if c.Sched.cm_hop = 0 then slot_key c
-              else
-                let a, b, d, e, hop = slot_key c in
-                (a, b, d, e, hop - 1)
-            in
-            (lost_arr key).(ms.ms_iter)
-          in
-          let medium_name = Arch.medium_name arch c.Sched.cm_medium in
-          let dropped =
-            have_inj
-            && (inj.Injection.medium_down ~medium:medium_name ~time:start
-               || inj.Injection.transfer_lost ~iteration:ms.ms_iter ~slot:c)
-          in
+          let inherited = (lost_arr upstream).(ms.ms_iter) in
+          let medium = Arch.medium_name arch c.Sched.cm_medium in
+          let dropped = Core.dropped core ~medium ~iteration:ms.ms_iter ~time:start c in
           if inherited then
             (* stale at the source (or already dropped by the bus): a
                retransmission would resend the same stale payload, so
                the mark just propagates *)
-            (lost_arr (slot_key c)).(ms.ms_iter) <- true
+            (lost_arr (Core.slot_key c)).(ms.ms_iter) <- true
           else if dropped then begin
-            (* bounded retransmission with exponential backoff; every
-               retry extends the slot, consuming real medium time *)
-            let delivered = ref false in
-            let attempts = ref 0 in
-            if retrans_on then begin
-              let mkey = ((c.Sched.cm_medium :> int), ms.ms_iter) in
-              let used =
-                ref (Option.value (Hashtbl.find_opt retry_used mkey) ~default:0)
-              in
-              while
-                (not !delivered)
-                && !attempts < pol.Recovery.max_retries
-                && !used < pol.Recovery.retry_budget
-              do
-                incr attempts;
-                incr used;
-                incr retransmissions;
-                let retry_start =
-                  !finish +. Recovery.backoff_delay pol ~attempt:!attempts
-                in
-                (* a retransmission re-arbitrates like any other frame
-                   when a bus model is attached *)
-                let retry_bus_dropped =
-                  match bus with
-                  | None ->
-                      finish :=
-                        retry_start +. sample_comm_duration c.Sched.cm_duration;
-                      false
-                  | Some b ->
-                      let comp =
-                        Media.Bus.transmit b
-                          ~ident:(Media.Bus.slot_identifier c)
-                          ~node:(c.Sched.cm_from :> int)
-                          ~release:retry_start
-                          ~duration:(sample_comm_duration c.Sched.cm_duration)
-                      in
-                      finish := comp.Media.Bus.c_finish;
-                      comp.Media.Bus.c_dropped
-                in
-                delivered :=
-                  not
-                    (retry_bus_dropped
-                    || inj.Injection.medium_down ~medium:medium_name
-                         ~time:retry_start
-                    || inj.Injection.retry_lost ~attempt:!attempts
-                         ~iteration:ms.ms_iter ~slot:c)
-              done;
-              Hashtbl.replace retry_used mkey !used;
-              events :=
-                (if !delivered then
-                   Recovery.Transfer_recovered
-                     {
-                       time = !finish;
-                       iteration = ms.ms_iter;
-                       medium = medium_name;
-                       attempts = !attempts;
-                     }
-                 else
-                   Recovery.Retries_exhausted
-                     {
-                       time = !finish;
-                       iteration = ms.ms_iter;
-                       medium = medium_name;
-                       attempts = !attempts;
-                     })
-                :: !events
-            end;
-            if !delivered then incr recovered_transfers
-            else begin
-              (lost_arr (slot_key c)).(ms.ms_iter) <- true;
-              incr lost_transfers
-            end
+            let delivered, fin, _ =
+              Core.recover core ~retry:true ~bus ~medium ~iteration:ms.ms_iter ~finish:!finish
+                ~duration:(fun () -> Core.comm_duration core c.Sched.cm_duration)
+                c
+            in
+            finish := fin;
+            if not delivered then (lost_arr (Core.slot_key c)).(ms.ms_iter) <- true
           end
         end;
-        let fin_arr = slot_table `Finished finished (slot_key c) in
+        let fin_arr = slot_table finished (Core.slot_key c) in
         fin_arr.(ms.ms_iter) <- !finish;
         ms.ms_time <- !finish;
         comms_log :=
@@ -506,20 +301,6 @@ let run_single ~(config : config) exe =
   Array.iteri
     (fun k t_end -> if t_end > (float_of_int (k + 1) *. period) +. 1e-9 then incr overruns)
     iteration_end;
-  let bus_log =
-    if not have_bus then []
-    else begin
-      let horizon = float_of_int config.iterations *. period in
-      List.filter_map
-        (fun (mid : Arch.medium_id) ->
-          match buses.((mid :> int)) with
-          | None -> None
-          | Some b ->
-              Media.Bus.drain b ~until:horizon;
-              Some (Arch.medium_name arch mid, Media.Bus.log b))
-        (Arch.media arch)
-    end
-  in
   {
     executive = exe;
     period;
@@ -528,14 +309,14 @@ let run_single ~(config : config) exe =
     comms;
     iteration_end;
     overruns = !overruns;
-    lost_transfers = !lost_transfers;
+    lost_transfers = Core.lost_transfers core;
     stale_reads = !stale_reads;
-    retransmissions = !retransmissions;
-    recovered_transfers = !recovered_transfers;
-    recovery_events = List.sort Recovery.compare_event !events;
+    retransmissions = Core.retransmissions core;
+    recovered_transfers = Core.recovered_transfers core;
+    recovery_events = Core.events core;
     detection_latency = None;
     switched_at = None;
-    bus_log;
+    bus_log = Core.bus_log core;
     continuation = None;
   }
 

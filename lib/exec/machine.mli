@@ -10,7 +10,9 @@
     durations are drawn from a {!Timing_law} within [\[BCET, WCET\]],
     and conditioned operations are skipped when their condition does
     not hold — the two mechanisms that make real I/O instants differ
-    from the stroboscopic model.
+    from the stroboscopic model.  Duration sampling, bus models and
+    retransmission are {!Core}'s, shared with {!Async}; this driver
+    adds the blocking synchronised reads.
 
     The simulation doubles as an empirical deadlock-freedom check: if
     no entity can progress before completing the requested iterations,
@@ -18,7 +20,7 @@
 
 exception Deadlock of string
 
-type config = {
+type config = Core.config = {
   iterations : int;  (** number of periods to execute *)
   law : Timing_law.t;  (** computation-duration law *)
   comm_jitter_frac : float;
@@ -63,12 +65,15 @@ type config = {
           Raises [Invalid_argument] (["[MEDIA004]"]) when a name
           matches no medium or a point-to-point one. *)
 }
+(** The one configuration of both executives: {!Async.run} takes it
+    too, so a comparison runs both on the same timing model. *)
 
 val default_config : config
 (** 100 iterations, {!Timing_law.Uniform}, no comm jitter,
-    [bcet_frac = 0.5], no overruns ([overrun_prob = 0.],
-    [overrun_factor = 1.5]), seed 42, all conditions = 0, no injected
-    faults, recovery disabled. *)
+    [bcet_frac = 0.5], no durations table, no overruns
+    ([overrun_prob = 0.], [overrun_factor = 1.5]), seed 42, all
+    conditions = 0, no injected faults, recovery disabled, no bus
+    models. *)
 
 type op_exec = {
   oe_iteration : int;

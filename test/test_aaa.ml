@@ -615,7 +615,7 @@ let routing_tests =
         let sched = Adq.run ~algorithm:alg ~architecture:arch ~durations:d () in
         let exe = Aaa.Codegen.generate sched in
         let trace =
-          Exec.Async.run ~config:{ Exec.Async.default_config with iterations = 50 } exe
+          Exec.Async.run ~config:{ Exec.Machine.default_config with iterations = 50 } exe
         in
         check_int "fresh under WCET contract" 0 trace.Exec.Async.violations;
         check_true "reads checked" (trace.Exec.Async.remote_consumptions > 0));

@@ -247,7 +247,7 @@ let async_tests =
         let _, _, exe, _ = chain_schedule ~distributed:true () in
         let trace =
           Exec.Async.run
-            ~config:{ Exec.Async.default_config with iterations = 100 }
+            ~config:{ Exec.Machine.default_config with iterations = 100 }
             exe
         in
         check_int "no stale reads" 0 trace.Exec.Async.violations;
@@ -258,7 +258,7 @@ let async_tests =
           Exec.Async.run
             ~config:
               {
-                Exec.Async.default_config with
+                Exec.Machine.default_config with
                 iterations = 200;
                 overrun_prob = 0.3;
                 overrun_factor = 2.5;
@@ -305,7 +305,7 @@ let async_tests =
         let _, sched, exe, (_, _, a) = chain_schedule () in
         let trace =
           Exec.Async.run
-            ~config:{ Exec.Async.default_config with iterations = 10; law = TL.Wcet }
+            ~config:{ Exec.Machine.default_config with iterations = 10; law = TL.Wcet }
             exe
         in
         match trace.Exec.Async.actuation_latencies with
@@ -322,7 +322,7 @@ let async_tests =
         let _, _, exe, _ = chain_schedule ~distributed:true () in
         let always_overrun =
           {
-            Exec.Async.default_config with
+            Exec.Machine.default_config with
             iterations = 20;
             law = TL.Wcet;
             overrun_prob = 1.0;
@@ -356,7 +356,7 @@ let async_tests =
         let exe = Aaa.Codegen.generate sched in
         let trace =
           Exec.Async.run
-            ~config:{ Exec.Async.default_config with iterations = 30; law = TL.Uniform }
+            ~config:{ Exec.Machine.default_config with iterations = 30; law = TL.Uniform }
             exe
         in
         check_int "fresh despite reordering pressure" 0 trace.Exec.Async.violations);
@@ -364,7 +364,7 @@ let async_tests =
         let _, _, exe, _ = chain_schedule () in
         check_raises_invalid "iterations" (fun () ->
             ignore
-              (Exec.Async.run ~config:{ Exec.Async.default_config with iterations = 0 } exe)));
+              (Exec.Async.run ~config:{ Exec.Machine.default_config with iterations = 0 } exe)));
     test "utilization sums busy time per operator" (fun () ->
         let _, sched, exe, _ = chain_schedule () in
         let trace =
@@ -418,6 +418,49 @@ let async_tests =
         check_true "window label" (contains chart "iteration 2");
         check_raises_invalid "range" (fun () ->
             ignore (Exec.Exec_gantt.render ~iteration:99 trace)));
+    test "baseline draws every execution from the durations table" (fun () ->
+        (* independent actuators on two processors: each starts at its
+           planned offset, so La(k) − start is that execution's draw *)
+        let alg = Alg.create ~name:"acts" ~period:0.1 in
+        let names = [ "a0"; "a1"; "a2"; "a3" ] in
+        List.iter (fun name -> ignore (Alg.add_op alg ~name ~kind:Alg.Actuator ())) names;
+        let d = Dur.create () in
+        List.iteri
+          (fun i op ->
+            let wcet = 0.004 *. float_of_int (i + 1) in
+            Dur.set_everywhere d ~op ~operators:[ "P0"; "P1" ] wcet;
+            List.iter
+              (fun operator -> Dur.set_bcet d ~op ~operator (0.4 *. wcet))
+              [ "P0"; "P1" ])
+          names;
+        let arch = Arch.bus_topology ~time_per_word:0.002 [ "P0"; "P1" ] in
+        let sched = Adq.run ~algorithm:alg ~architecture:arch ~durations:d () in
+        let exe = Aaa.Codegen.generate sched in
+        let run law =
+          Exec.Async.run
+            ~config:{ Machine.default_config with iterations = 200; law; durations = Some d }
+            exe
+        in
+        let draws law =
+          List.concat_map
+            (fun (op, lat) ->
+              let slot = Sched.slot_of sched op in
+              let wcet = slot.Sched.cs_duration in
+              List.map (fun l -> (l -. slot.Sched.cs_start, wcet)) (Array.to_list lat))
+            (run law).Exec.Async.actuation_latencies
+        in
+        let uniform = draws TL.Uniform in
+        check_int "every execution observed" (4 * 200) (List.length uniform);
+        List.iter
+          (fun (x, wcet) ->
+            check_true "within [table BCET, WCET]"
+              (x >= (0.4 *. wcet) -. 1e-12 && x <= wcet +. 1e-12))
+          uniform;
+        check_true "below the 0.5·WCET fallback"
+          (List.exists (fun (x, wcet) -> x < 0.5 *. wcet) uniform);
+        List.iter
+          (fun (x, wcet) -> check_float ~eps:1e-12 "Bcet law takes the table BCET" (0.4 *. wcet) x)
+          (draws TL.Bcet));
   ]
 
 let suites =

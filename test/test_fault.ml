@@ -204,7 +204,7 @@ let async_tests =
         in
         let inj = Scenario.injection s ~architecture:arch in
         let config =
-          { Exec.Async.default_config with iterations = 20; law = TL.Wcet; injection = inj }
+          { Exec.Machine.default_config with iterations = 20; law = TL.Wcet; injection = inj }
         in
         let trace = Exec.Async.run ~config exe in
         (* 3x WCET pushes every producer past its bus slot / read instant *)
@@ -217,7 +217,7 @@ let async_tests =
         let _, arch, _, exe, _ = chain () in
         let inj = Scenario.injection (loss_scenario 1.0) ~architecture:arch in
         let config =
-          { Exec.Async.default_config with iterations = 25; law = TL.Wcet; injection = inj }
+          { Exec.Machine.default_config with iterations = 25; law = TL.Wcet; injection = inj }
         in
         let trace = Exec.Async.run ~config exe in
         check_int "all transfers dropped" 50 trace.Exec.Async.lost_transfers;
@@ -232,7 +232,7 @@ let async_tests =
         in
         let inj = Scenario.injection s ~architecture:arch in
         let config =
-          { Exec.Async.default_config with iterations = 30; law = TL.Wcet; injection = inj }
+          { Exec.Machine.default_config with iterations = 30; law = TL.Wcet; injection = inj }
         in
         let trace = Exec.Async.run ~config exe in
         check_true "stale reads appear" (trace.Exec.Async.violations > 0);
@@ -242,7 +242,7 @@ let async_tests =
         let _, arch, _, exe, _ = chain () in
         let inj = Scenario.injection (loss_scenario ~seed:21 0.4) ~architecture:arch in
         let config =
-          { Exec.Async.default_config with iterations = 100; law = TL.Wcet; injection = inj }
+          { Exec.Machine.default_config with iterations = 100; law = TL.Wcet; injection = inj }
         in
         let t1 = Exec.Async.run ~config exe in
         let t2 = Exec.Async.run ~config exe in

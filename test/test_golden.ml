@@ -137,23 +137,7 @@ let digest add x =
 (* fixtures *)
 
 (* the one place this file builds an Async configuration *)
-let async_run (c : Machine.config) exe =
-  Async.run
-    ~config:
-      {
-        Async.iterations = c.Machine.iterations;
-        law = c.Machine.law;
-        comm_jitter_frac = c.Machine.comm_jitter_frac;
-        bcet_frac = c.Machine.bcet_frac;
-        overrun_prob = c.Machine.overrun_prob;
-        overrun_factor = c.Machine.overrun_factor;
-        seed = c.Machine.seed;
-        condition = c.Machine.condition;
-        injection = c.Machine.injection;
-        recovery = c.Machine.recovery;
-        bus_models = c.Machine.bus_models;
-      }
-    exe
+let async_run (c : Machine.config) exe = Async.run ~config:c exe
 
 (* schedule seeds whose random draw is the gateway architecture with
    at least one two-hop (busA then busB) transfer *)

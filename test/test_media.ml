@@ -194,7 +194,7 @@ let exec_tests =
           Async.run
             ~config:
               {
-                Async.default_config with
+                Machine.default_config with
                 iterations = 20;
                 comm_jitter_frac = 0.3;
                 seed = 5;

@@ -124,7 +124,7 @@ let pipeline_props =
         let exe = Aaa.Codegen.generate sched in
         let trace =
           Exec.Async.run
-            ~config:{ Exec.Async.default_config with iterations = 5; seed }
+            ~config:{ Exec.Machine.default_config with iterations = 5; seed }
             exe
         in
         trace.Exec.Async.violations = 0);

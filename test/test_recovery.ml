@@ -300,10 +300,10 @@ let async_tests =
     test "the static-table executor retries dropped slots in place" (fun () ->
         let _, _, _, _, exe = dist_chain () in
         let inj = Injection.make ~transfer_lost:always_lost () in
-        let base = { Async.default_config with iterations = 20; injection = inj } in
+        let base = { Machine.default_config with iterations = 20; injection = inj } in
         let without = Async.run ~config:base exe in
         let with_r =
-          Async.run ~config:{ base with Async.recovery = Recovery.make ~period:0.1 () } exe
+          Async.run ~config:{ base with Machine.recovery = Recovery.make ~period:0.1 () } exe
         in
         check_true "baseline violates freshness" (without.Async.violations > 0);
         check_int "every drop recovered" without.Async.lost_transfers
@@ -328,10 +328,10 @@ let async_tests =
             [ Scenario.Message_loss { medium = None; prob = 0.3 } ]
         in
         let inj = Scenario.injection s ~architecture:arch in
-        let base = { Async.default_config with iterations = 30; injection = inj } in
+        let base = { Machine.default_config with iterations = 30; injection = inj } in
         let plain = Async.run ~config:base exe in
         let pol = { Recovery.disabled with Recovery.freshness_watchdog = true } in
-        let watched = Async.run ~config:{ base with Async.recovery = pol } exe in
+        let watched = Async.run ~config:{ base with Machine.recovery = pol } exe in
         check_int "same violations" plain.Async.violations watched.Async.violations;
         check_int "same losses" plain.Async.lost_transfers watched.Async.lost_transfers;
         check_int "same overruns" plain.Async.overruns watched.Async.overruns;
@@ -768,8 +768,8 @@ let slack_tests =
         let inj = Injection.make ~transfer_lost:always_lost () in
         let tr =
           Async.run
-            ~config:{ Async.default_config with iterations = 20; injection = inj;
-                      Async.recovery = p }
+            ~config:{ Machine.default_config with iterations = 20; injection = inj;
+                      Machine.recovery = p }
             exe
         in
         check_int "every drop recovered" 40 tr.Async.recovered_transfers;
