@@ -10,53 +10,63 @@ type summary = {
   static_cost : float;
 }
 
-let run ?(runs = 20) ?(base_seed = 1000) ?(law = Exec.Timing_law.Uniform)
-    ?(bcet_frac = 0.4) ?pool ?cache ~design ~implementation () =
+let costs ?pool ?(law = Exec.Timing_law.Uniform) ?(bcet_frac = 0.4) ?cache ~design
+    ~implementation seeds =
+  match seeds with
+  | [] -> []
+  | seeds ->
+      let pool = match pool with Some p -> p | None -> Explore.Pool.default () in
+      (* both keys are computed here, before any worker runs: a lazy
+         value forced from several domains at once raises
+         CamlinternalLazy.Undefined *)
+      let skey = Session.key ~law ~bcet_frac ~design ~implementation () in
+      (* each domain compiles (at most) one engine via the per-domain
+         session slot and sweeps its share of the seeds through it
+         (reseed + reset, bit-for-bit equal to a rebuild — the Session
+         determinism contract) *)
+      let session_cost seed =
+        let s =
+          Session.obtain ~key:skey ~create:(fun () ->
+              Session.create ~law ~bcet_frac ~design ~implementation ())
+        in
+        Session.cost s ~seed
+      in
+      let cost_of =
+        match cache with
+        | None -> session_cost
+        | Some c ->
+            let problem_key =
+              Explore.Key.digest
+                [
+                  "scilife.montecarlo";
+                  (design : Design.t).Design.name;
+                  Explore.Key.float design.Design.ts;
+                  Explore.Key.float design.Design.horizon;
+                  Explore.Key.schedule implementation.Methodology.schedule;
+                  Explore.Key.law law;
+                  Explore.Key.float bcet_frac;
+                ]
+            in
+            fun seed ->
+              Explore.Cache.find_or_add c
+                ~key:(Explore.Key.digest [ problem_key; Explore.Key.int seed ])
+                (fun () -> session_cost seed)
+      in
+      Explore.Pool.map pool cost_of seeds
+
+let run ?(runs = 20) ?(base_seed = 1000) ?law ?bcet_frac ?pool ?cache ~design
+    ~implementation () =
   if runs <= 0 then invalid_arg "Montecarlo.run: non-positive run count";
-  let pool = match pool with Some p -> p | None -> Explore.Pool.default () in
-  let cost_with mode =
-    let engine = Methodology.simulate_implemented ~mode design implementation in
-    (design : Design.t).Design.cost engine
-  in
   let seeds = Array.init runs (fun i -> base_seed + i) in
-  (* the schedule digest is the expensive key part; compute it once *)
-  let problem_key =
-    lazy
-      (match cache with
-      | None -> ""
-      | Some _ ->
-          Explore.Key.digest
-            [
-              "scilife.montecarlo";
-              design.Design.name;
-              Explore.Key.float design.Design.ts;
-              Explore.Key.float design.Design.horizon;
-              Explore.Key.schedule implementation.Methodology.schedule;
-              Explore.Key.law law;
-              Explore.Key.float bcet_frac;
-            ])
+  let costs =
+    Array.of_list
+      (costs ?pool ?law ?bcet_frac ?cache ~design ~implementation (Array.to_list seeds))
   in
-  (* per-seed evaluation reuses the calling domain's compiled session
-     (reseed + reset, bit-for-bit equal to the rebuild [cost_with]
-     did here before — the Session determinism contract) *)
-  let skey = lazy (Session.key ~law ~bcet_frac ~design ~implementation ()) in
-  let session_cost seed =
-    let s =
-      Session.obtain ~key:(Lazy.force skey) ~create:(fun () ->
-          Session.create ~law ~bcet_frac ~design ~implementation ())
-    in
-    Session.cost s ~seed
+  let static_cost =
+    (design : Design.t).Design.cost
+      (Methodology.simulate_implemented ~mode:Translator.Delay_graph.Static_wcet design
+         implementation)
   in
-  let cost_of seed =
-    match cache with
-    | None -> session_cost seed
-    | Some c ->
-        Explore.Cache.find_or_add c
-          ~key:(Explore.Key.digest [ Lazy.force problem_key; Explore.Key.int seed ])
-          (fun () -> session_cost seed)
-  in
-  let costs = Array.of_list (Explore.Pool.map pool cost_of (Array.to_list seeds)) in
-  let static_cost = cost_with Translator.Delay_graph.Static_wcet in
   {
     runs;
     seeds;

@@ -29,6 +29,22 @@ type summary = {
           latency-cost designs *)
 }
 
+val costs :
+  ?pool:Explore.Pool.t ->
+  ?law:Exec.Timing_law.t ->
+  ?bcet_frac:float ->
+  ?cache:float Explore.Cache.t ->
+  design:Design.t ->
+  implementation:Methodology.implementation ->
+  int list ->
+  float list
+(** [costs seeds]: one jittered implemented cost per seed, in order.
+    Each pool domain compiles at most one engine through the
+    per-domain session slot ({!Session.obtain}) and sweeps its share
+    of the seeds through it, so results are bit-for-bit equal to the
+    sequential (and to the per-seed rebuilding) evaluation however the
+    work-stealing scheduler splits the list.  Defaults as {!run}. *)
+
 val run :
   ?runs:int ->
   ?base_seed:int ->

@@ -231,7 +231,7 @@ let compute t ~source ~runs ~seed ~robustness =
           let mc =
             if runs > 0 then
               Some
-                (Batch.montecarlo ~runs ~base_seed:seed ~law:t.cfg.law
+                (Lifecycle.Montecarlo.run ~runs ~base_seed:seed ~law:t.cfg.law
                    ~bcet_frac:t.cfg.bcet_frac ~pool:t.pool ~design
                    ~implementation:comparison.M.implementation ())
             else None
@@ -330,7 +330,7 @@ let montecarlo_key t source ~runs ~seed =
     ]
 
 (* the pipeline cut down to the shared-engine batch: parse, adequate,
-   run every seed through [Batch.costs] and hand the list back raw *)
+   run every seed through [Montecarlo.costs] and hand the list back raw *)
 let compute_montecarlo t ~source ~runs ~seed =
   match Lifecycle.Diagram.parse source with
   | exception Failure msg -> Error (P.Submission, msg)
@@ -344,8 +344,8 @@ let compute_montecarlo t ~source ~runs ~seed =
       | implementation ->
           let seeds = List.init runs (fun k -> seed + k) in
           let costs =
-            Batch.costs ~pool:t.pool ~law:t.cfg.law ~bcet_frac:t.cfg.bcet_frac
-              ~design ~implementation seeds
+            Lifecycle.Montecarlo.costs ~pool:t.pool ~law:t.cfg.law
+              ~bcet_frac:t.cfg.bcet_frac ~design ~implementation seeds
           in
           Ok
             (Json.Obj

@@ -178,6 +178,24 @@ let montecarlo_tests =
             ignore
               (Lifecycle.Montecarlo.run ~runs:0 ~design:file.Lifecycle.Diagram.design
                  ~implementation:impl ())));
+    test "repeated summaries on a four-domain pool never race" (fun () ->
+        (* every call starts all domains on one fresh summary at once:
+           any key a worker computes on first use would be forced
+           concurrently *)
+        let file = Lifecycle.Diagram.parse sample in
+        let design = file.Lifecycle.Diagram.design in
+        let impl =
+          Lifecycle.Methodology.implement ~design
+            ~architecture:file.Lifecycle.Diagram.architecture
+            ~durations:file.Lifecycle.Diagram.durations ()
+        in
+        let reference = Lifecycle.Montecarlo.run ~runs:8 ~design ~implementation:impl () in
+        Explore.Pool.with_pool ~domains:4 (fun pool ->
+            for _ = 1 to 50 do
+              let s = Lifecycle.Montecarlo.run ~runs:8 ~pool ~design ~implementation:impl () in
+              check_vec ~eps:0. "same costs" reference.Lifecycle.Montecarlo.costs
+                s.Lifecycle.Montecarlo.costs
+            done));
   ]
 
 let report_tests =

@@ -212,7 +212,7 @@ let batch_tests =
     test "costs is order-preserving and chunk-independent" (fun () ->
         let seeds = [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
         let parallel =
-          Serve.Batch.costs ~pool:(Lazy.force pool) ~design:batch_design
+          Lifecycle.Montecarlo.costs ~pool:(Lazy.force pool) ~design:batch_design
             ~implementation:batch_impl seeds
         in
         let b = Serve.Batch.create ~design:batch_design ~implementation:batch_impl () in
