@@ -25,6 +25,10 @@ type implementation = {
   static : Translator.Temporal_model.static;
 }
 
+val engine_with_probes : ?meth:Numerics.Ode.method_ -> Design.built -> Sim.Engine.t
+(** Compiles the built diagram and attaches every probe the design
+    declares — the engine every co-simulation of a design runs on. *)
+
 val simulate_ideal : ?meth:Numerics.Ode.method_ -> Design.t -> Sim.Engine.t
 (** Builds the diagram, attaches the stroboscopic clock, runs to the
     design's horizon and returns the engine (probes recorded, costs

@@ -43,11 +43,7 @@ let create ?meth ?(law = Exec.Timing_law.Uniform) ?(bcet_frac = 0.4)
       ~graph:built.Design.graph ~schedule:implementation.Methodology.schedule
       ~binding:implementation.Methodology.binding ~rng ()
   in
-  let engine = Sim.Engine.create ?meth built.Design.graph in
-  List.iter
-    (fun (name, (block, port)) -> Sim.Engine.add_probe engine ~name ~block ~port)
-    built.Design.probes;
-  { design; engine; rng }
+  { design; engine = Methodology.engine_with_probes ?meth built; rng }
 
 let cost t ~seed =
   Numerics.Rng.reseed t.rng seed;

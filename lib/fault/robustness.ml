@@ -63,15 +63,6 @@ type summary = {
   all_fit : bool;
 }
 
-(* Methodology keeps its probe wiring private; the recovery co-sim
-   rebuilds it the same way *)
-let engine_with_probes (built : Design.built) =
-  let engine = Sim.Engine.create built.Design.graph in
-  List.iter
-    (fun (name, (block, port)) -> Sim.Engine.add_probe engine ~name ~block ~port)
-    built.Design.probes;
-  engine
-
 (* co-simulate the failure of [failed_operator] at [fail_time]: the
    nominal delay graph gated around the failure, plus — when a switch
    happened — the failover graph gated after it.  [switch_time =
@@ -86,7 +77,7 @@ let recovery_engine ~design ~(nominal : Meth.implementation) ?failover ~fail_tim
       ~schedule:nominal.Meth.schedule ?failover ~binding:nominal.Meth.binding ~fail_time
       ~switch_time ~failed_operator ()
   in
-  let engine = engine_with_probes built in
+  let engine = Meth.engine_with_probes built in
   Sim.Engine.run ~t_end:design.Design.horizon engine;
   engine
 
