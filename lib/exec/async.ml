@@ -97,8 +97,8 @@ let run ?(config = Machine.default_config) exe =
       let bus = Core.bus core c.Sched.cm_medium in
       let release = Float.max clock.(m) planned_start in
       (* with a bus model, the slot's frame is enqueued at its planned
-         offset and arbitrates against the bus's other traffic; the
-         fixed-duration path below is bit-for-bit the original *)
+         offset and arbitrates against the bus's other traffic; without
+         one the slot occupies its planned duration *)
       let start, t_done0, bus_dropped =
         match bus with
         | None -> (release, release +. c.Sched.cm_duration, false)

@@ -1,9 +1,9 @@
-(** The executive core shared by the two drivers, {!Machine} (blocking
+(** The executive core shared by the two executives, {!Machine} (blocking
     synchronised reads) and {!Async} (reads at planned table offsets).
 
     One value of {!t} is the state of one run: the configuration, the
     seeded duration draws, the attached bus models, the retransmission
-    budget and the recovery ledger.  The drivers keep only what differs
+    budget and the recovery ledger.  The executives keep only what differs
     in the temporal model — when an instruction may fire and which value
     a read sees — and draw from the core's generator in their own
     order, which the traces depend on bit for bit. *)

@@ -188,18 +188,18 @@ let run_single ~(config : config) exe =
       (* hop 0 waits for the producer's post; later hops wait for the
          previous hop's completion *)
       let upstream = if c.Sched.cm_hop = 0 then Core.slot_key c else Core.prev_key c in
-      let posted_arr =
-        if c.Sched.cm_hop = 0 then slot_table posted upstream else slot_table finished upstream
+      let t_posted =
+        (slot_table (if c.Sched.cm_hop = 0 then posted else finished) upstream).(ms.ms_iter)
       in
-      let t_posted = posted_arr.(ms.ms_iter) in
       if Float.is_nan t_posted then false
       else begin
         let bus = Core.bus core c.Sched.cm_medium in
         let release = Float.max ms.ms_time t_posted in
         let duration = Core.comm_duration core c.Sched.cm_duration in
         (* with a bus model attached, the transfer becomes a frame
-           arbitrating against the bus's other traffic; without one,
-           the fixed-duration path below is bit-for-bit the original *)
+           arbitrating against the bus's other traffic; without one it
+           takes its jittered planned duration, which is also what an
+           empty bus model gives *)
         let start, finish0, bus_dropped =
           match bus with
           | None -> (release, release +. duration, false)

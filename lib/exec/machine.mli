@@ -11,7 +11,7 @@
     and conditioned operations are skipped when their condition does
     not hold — the two mechanisms that make real I/O instants differ
     from the stroboscopic model.  Duration sampling, bus models and
-    retransmission are {!Core}'s, shared with {!Async}; this driver
+    retransmission are {!Core}'s, shared with {!Async}; this executive
     adds the blocking synchronised reads.
 
     The simulation doubles as an empirical deadlock-freedom check: if

@@ -136,9 +136,6 @@ let digest add x =
 (* ------------------------------------------------------------------ *)
 (* fixtures *)
 
-(* the one place this file builds an Async configuration *)
-let async_run (c : Machine.config) exe = Async.run ~config:c exe
-
 (* schedule seeds whose random draw is the gateway architecture with
    at least one two-hop (busA then busB) transfer *)
 let gateway_seeds = [ 39; 46 ]
@@ -289,7 +286,7 @@ let cases () =
                 in
                 [
                   (name "machine", fun () -> digest add_machine (Machine.run ~config exe));
-                  (name "async", fun () -> digest add_async (async_run config exe));
+                  (name "async", fun () -> digest add_async (Async.run ~config exe));
                 ])
               [ false; true ])
           [ false; true ])
